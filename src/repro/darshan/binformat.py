@@ -17,18 +17,18 @@ from __future__ import annotations
 import io
 import json
 import struct
+import sys
 import zlib
+from array import array
 from pathlib import Path
+from typing import Iterable
 
 from repro.darshan.counters import counters_for, fcounters_for, known_modules
 from repro.darshan.log import DarshanLog
-from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
+from repro.darshan.records import DxtTable, JobRecord, ModuleRecord, NameRecord
 from repro.util.errors import DarshanFormatError
 
 MAGIC = b"DSHNRPRO"
-
-_DXT_MODULES = ("X_POSIX", "X_MPIIO")
-_DXT_OPS = ("read", "write")
 
 
 # -- low-level packing -------------------------------------------------
@@ -64,11 +64,20 @@ class _Reader:
 
     def read_str(self) -> str:
         (length,) = self.unpack("<H")
-        return self.take(length).decode("utf-8")
+        try:
+            return self.take(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DarshanFormatError(
+                f"section {self._section!r} holds a non-UTF-8 string: {exc}"
+            ) from None
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
+    def finish(self) -> None:
+        """Raise unless every byte of the payload was consumed."""
+        if self._pos != len(self._data):
+            raise DarshanFormatError(
+                f"section {self._section!r} has {len(self._data) - self._pos} "
+                "trailing bytes"
+            )
 
 
 # -- section encoders ---------------------------------------------------
@@ -101,7 +110,7 @@ def _decode_job(data: bytes) -> tuple[JobRecord, str]:
             metadata=dict(payload.get("metadata", {})),
         )
         return job, str(payload["version"])
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DarshanFormatError(f"corrupt job section: {exc}") from exc
 
 
@@ -127,6 +136,7 @@ def _decode_names(data: bytes) -> dict[int, NameRecord]:
         mount = reader.read_str()
         fs_type = reader.read_str()
         names[record_id] = NameRecord(record_id, path, mount, fs_type)
+    reader.finish()
     return names
 
 
@@ -172,60 +182,105 @@ def _decode_module(module: str, data: bytes) -> list[ModuleRecord]:
                 fcounters=dict(zip(fcounter_names, fvalues)),
             )
         )
+    reader.finish()
     return records
 
 
-def _encode_dxt(segments: list[DxtSegment]) -> bytes:
-    buffer = io.BytesIO()
-    buffer.write(struct.pack("<I", len(segments)))
-    for seg in segments:
-        buffer.write(
-            struct.pack(
-                "<BBqQQQdd",
-                _DXT_MODULES.index(seg.module),
-                _DXT_OPS.index(seg.operation),
-                seg.rank,
-                seg.record_id,
-                seg.offset,
-                seg.length,
-                seg.start_time,
-                seg.end_time,
-            )
-        )
-        _pack_str(buffer, seg.hostname)
-    return buffer.getvalue()
+#: The fixed part of one v1 DXT segment: module and op codes, rank,
+#: record id, offset, length, start and end times — the first eight
+#: :class:`DxtTable` columns, in order.  A ``<H`` hostname length and
+#: the hostname bytes follow it.
+_DXT_TYPECODES = "BBqQQQdd"
+_DXT_FIELDS = struct.Struct("<" + _DXT_TYPECODES)
+_HOST_LEN = struct.Struct("<H")
+_COUNT = struct.Struct("<I")
 
 
-def _decode_dxt(data: bytes) -> list[DxtSegment]:
-    reader = _Reader(data, "dxt")
-    (count,) = reader.unpack("<I")
-    segments = []
-    for _ in range(count):
-        module_idx, op_idx, rank, record_id, offset, length, start, end = (
-            reader.unpack("<BBqQQQdd")
+def _encode_dxt(table: DxtTable) -> bytes:
+    hosts = []
+    for hostname in table.hostnames:
+        buffer = io.BytesIO()
+        _pack_str(buffer, hostname)
+        hosts.append(buffer.getvalue())
+    pack = _DXT_FIELDS.pack
+    parts = [_COUNT.pack(len(table))]
+    parts.extend(
+        pack(module, op, rank, record_id, offset, length, start, end) + hosts[host]
+        for module, op, rank, record_id, offset, length, start, end, host in zip(
+            table.module_codes,
+            table.op_codes,
+            table.ranks,
+            table.record_ids,
+            table.offsets,
+            table.lengths,
+            table.start_times,
+            table.end_times,
+            table.host_indexes,
         )
-        hostname = reader.read_str()
-        try:
-            module = _DXT_MODULES[module_idx]
-            operation = _DXT_OPS[op_idx]
-        except IndexError:
-            raise DarshanFormatError(
-                f"bad DXT module/op code {module_idx}/{op_idx}"
-            ) from None
-        segments.append(
-            DxtSegment(
-                module=module,
-                record_id=record_id,
-                rank=rank,
-                operation=operation,
-                offset=offset,
-                length=length,
-                start_time=start,
-                end_time=end,
-                hostname=hostname,
-            )
+    )
+    return b"".join(parts)
+
+
+def _decode_dxt(data: bytes, record_ids: Iterable[int]) -> DxtTable:
+    """Decode a v1 DXT section straight into columns.
+
+    One pass finds each segment's hostname and copies its fixed part
+    into one buffer; each column is then gathered from that buffer with
+    strided byte copies.  Every malformation — truncation, trailing
+    bytes, bad module/op codes, a segment ending before it starts, a
+    record id missing from the name table, a hostname that is not
+    UTF-8 — raises :class:`DarshanFormatError`.
+    """
+    fixed = _DXT_FIELDS.size
+    header = fixed + _HOST_LEN.size
+    host_len = _HOST_LEN.unpack_from
+    parts: list[bytes] = []
+    hosts: list[bytes] = []
+    try:
+        (count,) = _COUNT.unpack_from(data, 0)
+        pos = _COUNT.size
+        for _ in range(count):
+            (length,) = host_len(data, pos + fixed)
+            parts.append(data[pos : pos + fixed])
+            hosts.append(data[pos + header : pos + header + length])
+            pos += header + length
+    except struct.error:
+        raise DarshanFormatError("section 'dxt' truncated") from None
+    if pos != len(data):
+        raise DarshanFormatError(
+            f"section 'dxt' {'truncated' if pos > len(data) else 'has trailing bytes'}"
         )
-    return segments
+    blob = b"".join(parts)
+    columns = []
+    offset = 0
+    for typecode in _DXT_TYPECODES:
+        column = array(typecode)
+        width = column.itemsize
+        gathered = bytearray(count * width)
+        for byte in range(width):
+            gathered[byte::width] = blob[offset + byte :: fixed]
+        column.frombytes(gathered)
+        if sys.byteorder == "big":
+            column.byteswap()
+        columns.append(column)
+        offset += width
+    interned = {host: index for index, host in enumerate(dict.fromkeys(hosts))}
+    try:
+        hostnames = [host.decode("utf-8") for host in interned]
+    except UnicodeDecodeError as exc:
+        raise DarshanFormatError(f"DXT hostname is not UTF-8: {exc}") from None
+    try:
+        table = DxtTable.from_columns(
+            *columns, map(interned.__getitem__, hosts), hostnames
+        )
+    except ValueError as exc:
+        raise DarshanFormatError(f"corrupt DXT section: {exc}") from None
+    unknown = set(table.record_ids).difference(record_ids)
+    if unknown:
+        raise DarshanFormatError(
+            f"DXT segment references unknown record id {min(unknown):#x}"
+        )
+    return table
 
 
 # -- file framing -------------------------------------------------------
@@ -251,7 +306,10 @@ def _read_exact(handle, count: int) -> bytes:
 
 def _read_section(handle) -> tuple[str, bytes]:
     (name_len,) = struct.unpack("<H", _read_exact(handle, 2))
-    name = _read_exact(handle, name_len).decode("utf-8")
+    try:
+        name = _read_exact(handle, name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DarshanFormatError(f"section name is not UTF-8: {exc}") from None
     length, crc = struct.unpack("<QI", _read_exact(handle, 12))
     compressed = _read_exact(handle, length)
     if zlib.crc32(compressed) != crc:
@@ -310,8 +368,12 @@ def read_log(path: str | Path) -> DarshanLog:
         if payload is None:
             continue
         for record in _decode_module(module, payload):
+            if record.record_id not in log.name_records:
+                raise DarshanFormatError(
+                    f"{module} record references unknown record id "
+                    f"{record.record_id:#x}"
+                )
             log.add_record(record)
     if "dxt" in sections:
-        for segment in _decode_dxt(sections["dxt"]):
-            log.add_dxt(segment)
+        log.dxt_segments = _decode_dxt(sections["dxt"], log.name_records)
     return log

@@ -4,7 +4,7 @@
 the binary format serializes, and what the parsers and analyzers read.
 It deliberately mirrors the structure of a real ``.darshan`` file:
 a job header, a name table, per-module record arrays, and optional DXT
-segments.
+segments held in one :class:`~repro.darshan.records.DxtTable`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.darshan.counters import known_modules
 from repro.darshan.records import (
     SHARED_RANK,
     DxtSegment,
+    DxtTable,
     JobRecord,
     ModuleRecord,
     NameRecord,
@@ -34,7 +35,7 @@ class DarshanLog:
     version: str = FORMAT_VERSION
     name_records: dict[int, NameRecord] = field(default_factory=dict)
     records: dict[str, list[ModuleRecord]] = field(default_factory=dict)
-    dxt_segments: list[DxtSegment] = field(default_factory=list)
+    dxt_segments: DxtTable = field(default_factory=DxtTable)
 
     # -- construction -------------------------------------------------
 

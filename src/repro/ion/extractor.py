@@ -14,6 +14,8 @@ the user, a step the paper lists as future work.
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +23,7 @@ from pathlib import Path
 from repro.darshan.binformat import read_log
 from repro.darshan.counters import counters_for, fcounters_for
 from repro.darshan.log import DarshanLog
+from repro.darshan.records import DXT_MODULES, DXT_OPERATIONS
 from repro.obs.trace import NULL_TRACER
 from repro.util.csvio import write_rows
 from repro.util.errors import ExtractionError
@@ -41,6 +44,61 @@ DXT_COLUMNS = (
 )
 
 _BASE_COLUMNS = ("file_id", "rank", "file")
+
+#: One ``DXT.csv`` row, formatted exactly as ``csv.DictWriter`` writes
+#: the same cells (start/end as ``%.9f``, the file cell pre-quoted).
+_DXT_LINE = "%s,%d,%s,%d,%d,%d,%.9f,%.9f,%d,%s\r\n"
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` quoted as the ``csv`` module quotes a non-final cell."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
+
+
+def _write_dxt_csv(path: Path, log: DarshanLog) -> int:
+    """Write ``DXT.csv`` straight from the log's DXT columns.
+
+    The bytes equal what :func:`~repro.util.csvio.write_rows` writes
+    for the same rows; ``segment`` numbers each (module, file, rank)
+    stream's operations from 0 in log order.
+    """
+    table = log.dxt_segments
+    files = {rid: _csv_cell(log.path_for(rid)) for rid in set(table.record_ids)}
+    segment_index: dict[tuple[int, int, int], int] = {}
+
+    def lines():
+        for module, rank, op, offset, length, start, end, rid in zip(
+            table.module_codes,
+            table.ranks,
+            table.op_codes,
+            table.offsets,
+            table.lengths,
+            table.start_times,
+            table.end_times,
+            table.record_ids,
+        ):
+            key = (module, rid, rank)
+            index = segment_index.get(key, 0)
+            segment_index[key] = index + 1
+            yield _DXT_LINE % (
+                DXT_MODULES[module],
+                rank,
+                DXT_OPERATIONS[op],
+                index,
+                offset,
+                length,
+                start,
+                end,
+                rid,
+                files[rid],
+            )
+
+    with path.open("w", newline="") as handle:
+        handle.write(",".join(DXT_COLUMNS) + "\r\n")
+        handle.writelines(lines())
+    return len(table)
 
 
 @dataclass
@@ -128,27 +186,7 @@ class Extractor:
             columns[module] = fieldnames
         if log.has_dxt:
             path = directory / "DXT.csv"
-            segment_index: Counter[tuple[str, int, int]] = Counter()
-
-            def dxt_rows():
-                for seg in log.dxt_segments:
-                    key = (seg.module, seg.record_id, seg.rank)
-                    index = segment_index[key]
-                    segment_index[key] += 1
-                    yield {
-                        "module": seg.module,
-                        "rank": seg.rank,
-                        "operation": seg.operation,
-                        "segment": index,
-                        "offset": seg.offset,
-                        "length": seg.length,
-                        "start": f"{seg.start_time:.9f}",
-                        "end": f"{seg.end_time:.9f}",
-                        "file_id": seg.record_id,
-                        "file": log.path_for(seg.record_id),
-                    }
-
-            row_counts["DXT"] = write_rows(path, DXT_COLUMNS, dxt_rows())
+            row_counts["DXT"] = _write_dxt_csv(path, log)
             csv_paths["DXT"] = path
             columns["DXT"] = list(DXT_COLUMNS)
         if not csv_paths:

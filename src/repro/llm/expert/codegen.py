@@ -16,6 +16,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from repro.sca.parse import parse_source
+
 #: Upper bin edges matching the Darshan size-histogram labels.
 _BIN_EDGES = (
     '_BINS = [("0_100", 100), ("100_1K", 1024), ("1K_10K", 10240),\n'
@@ -183,13 +185,17 @@ def random_access_code(posix_path: Path, dxt_path: Path | None) -> str:
 streams = {}
 if DXT_PATH:
     with open(DXT_PATH) as fh:
-        for row in csv.DictReader(fh):
-            if row["module"] != "X_POSIX":
+        reader = csv.reader(fh)
+        col = {name: index for index, name in enumerate(next(reader))}
+        MODULE, FILE_ID, RANK = col["module"], col["file_id"], col["rank"]
+        START, OFFSET, LENGTH, OP = col["start"], col["offset"], col["length"], col["operation"]
+        for row in reader:
+            if row[MODULE] != "X_POSIX":
                 continue
-            key = (row["file_id"], row["rank"])
+            key = (row[FILE_ID], row[RANK])
             streams.setdefault(key, []).append(
-                (float(row["start"]), int(row["offset"]), int(row["length"]),
-                 row["operation"])
+                (float(row[START]), int(row[OFFSET]), int(row[LENGTH]),
+                 row[OP])
             )
 classified = 0
 consecutive = 0
@@ -314,20 +320,24 @@ stripe_usage = {}
 shared_ops = 0
 if DXT_PATH and shared_files:
     with open(DXT_PATH) as fh:
-        for row in csv.DictReader(fh):
-            if row["module"] != "X_POSIX" or row["file_id"] not in shared_files:
+        reader = csv.reader(fh)
+        col = {name: index for index, name in enumerate(next(reader))}
+        MODULE, FILE_ID, RANK, OP = col["module"], col["file_id"], col["rank"], col["operation"]
+        OFFSET, START, END = col["offset"], col["start"], col["end"]
+        for row in reader:
+            if row[MODULE] != "X_POSIX" or row[FILE_ID] not in shared_files:
                 continue
             shared_ops += 1
-            stripe = int(row["offset"]) // stripe_by_file.get(row["file_id"], DEFAULT_STRIPE)
-            key = (row["file_id"], stripe)
+            stripe = int(row[OFFSET]) // stripe_by_file.get(row[FILE_ID], DEFAULT_STRIPE)
+            key = (row[FILE_ID], stripe)
             per_rank = stripe_usage.setdefault(key, {})
-            start, end = float(row["start"]), float(row["end"])
+            start, end = float(row[START]), float(row[END])
             # stats per rank: [ops, all_lo, all_hi, write_lo, write_hi]
-            stats = per_rank.setdefault(row["rank"], [0, start, end, None, None])
+            stats = per_rank.setdefault(row[RANK], [0, start, end, None, None])
             stats[0] += 1
             stats[1] = min(stats[1], start)
             stats[2] = max(stats[2], end)
-            if row["operation"] == "write":
+            if row[OP] == "write":
                 stats[3] = start if stats[3] is None else min(stats[3], start)
                 stats[4] = end if stats[4] is None else max(stats[4], end)
 contended_stripes = 0
@@ -583,7 +593,7 @@ def strip_imports(code: str, modules: "set[str] | frozenset[str]") -> str:
     the syntax error itself.
     """
     try:
-        tree = ast.parse(code)
+        tree = parse_source(code)
     except SyntaxError:
         return code
     lines = code.splitlines()

@@ -196,6 +196,12 @@ class CodeInterpreter:
         except BaseException:
             trace = traceback.format_exc(limit=8)
             return ExecutionResult(stdout=self._clip(stdout.getvalue()), error=trace)
+        finally:
+            # Functions the snippet defines close a reference cycle
+            # through their globals; clearing the namespace frees the
+            # snippet's working set now instead of at the next full
+            # garbage collection, which may be many reports away.
+            namespace.clear()
         return ExecutionResult(stdout=self._clip(stdout.getvalue()))
 
     def run_or_raise(self, code: str) -> str:

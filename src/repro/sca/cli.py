@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ion-lint",
         description="Enforce ION project invariants (registered span/metric "
-        "names, sanctioned file I/O, no mutable defaults, no silent excepts).",
+        "names, sanctioned file I/O, no mutable defaults, no silent excepts, "
+        "no raw ast.parse).",
     )
     parser.add_argument(
         "paths",

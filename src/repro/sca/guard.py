@@ -32,20 +32,12 @@ rule id             sev    what it catches
 from __future__ import annotations
 
 import ast
-import threading
 from pathlib import PurePosixPath
 
+from repro.sca.parse import parse_source
 from repro.sca.policy import SANDBOX_POLICY, SandboxPolicy
 from repro.sca.violations import GuardSeverity, GuardVerdict
 from repro.sca.walker import Rule, WalkContext, run_rules
-
-# CPython 3.11's AST-object conversion keeps its recursion counter in
-# interpreter-global module state; concurrent ast.parse calls from the
-# analyzer's prompt threads can interleave (a GC mid-conversion runs
-# Python code and allows a thread switch) and die with "SystemError:
-# AST constructor recursion depth mismatch".  Parsing is fast, so the
-# guard simply serializes it.
-_PARSE_LOCK = threading.Lock()
 
 RULE_IMPORT = "sca.import"
 RULE_BUILTIN = "sca.builtin"
@@ -346,8 +338,7 @@ class CodeGuard:
         errors with the traceback the model expects.
         """
         try:
-            with _PARSE_LOCK:
-                tree = ast.parse(code)
+            tree = parse_source(code)
         except (SyntaxError, ValueError):
             return GuardVerdict()
         except (RecursionError, SystemError):

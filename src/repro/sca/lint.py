@@ -23,6 +23,10 @@ already relies on implicitly; ``ion-lint`` makes them enforceable:
 ``lint.silent-except``
     No ``except Exception`` (or bare ``except``) that swallows the
     error without re-raising or recording it to metrics/health.
+``lint.raw-parse``
+    No ``ast.parse`` outside :mod:`repro.sca.parse`: parses from
+    concurrent threads must share its lock (CPython 3.11's AST
+    conversion is not thread-safe).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import ast
 from pathlib import Path
 from typing import Iterable
 
+from repro.sca.parse import parse_source
 from repro.sca.registry import METRIC_NAMES, SPAN_NAMES
 from repro.sca.violations import GuardSeverity, Violation
 from repro.sca.walker import Rule, WalkContext, run_rules
@@ -40,6 +45,7 @@ LINT_METRIC_NAME = "lint.metric-name"
 LINT_RAW_OPEN = "lint.raw-open"
 LINT_MUTABLE_DEFAULT = "lint.mutable-default"
 LINT_SILENT_EXCEPT = "lint.silent-except"
+LINT_RAW_PARSE = "lint.raw-parse"
 
 #: Packages whose file I/O must flow through sanctioned helpers.
 PIPELINE_PACKAGES = (
@@ -55,6 +61,9 @@ PIPELINE_PACKAGES = (
 SANCTIONED_IO_FILES = frozenset({"repro/llm/interpreter.py"})
 
 _METRIC_FACTORIES = frozenset({"counter", "gauge", "timer", "histogram"})
+
+#: The one file allowed to call ``ast.parse``.
+PARSE_HELPER_FILE = "repro/sca/parse.py"
 
 #: Handler-body markers that count as "recording" a swallowed error.
 _RECORDING_MARKERS = ("metrics", "health", "record", "set_status")
@@ -240,6 +249,29 @@ class SilentExceptRule(Rule):
         )
 
 
+class RawParseRule(Rule):
+    """``ast.parse`` outside the locked parse helper."""
+
+    rule_id = LINT_RAW_PARSE
+
+    def visit_Call(self, node: ast.Call, ctx: WalkContext) -> None:
+        if ctx.path.endswith(PARSE_HELPER_FILE):
+            return
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "parse"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "ast"
+        ):
+            self.report(
+                ctx,
+                node,
+                "raw ast.parse() bypasses the process-wide parse lock",
+                hint="call repro.sca.parse.parse_source instead",
+            )
+
+
 def lint_rules() -> list[Rule]:
     return [
         SpanNameRule(),
@@ -247,13 +279,14 @@ def lint_rules() -> list[Rule]:
         RawOpenRule(),
         MutableDefaultRule(),
         SilentExceptRule(),
+        RawParseRule(),
     ]
 
 
 def lint_source(source: str, path: str) -> list[Violation]:
     """Lint one file's source; syntax errors become a violation."""
     try:
-        tree = ast.parse(source)
+        tree = parse_source(source)
     except SyntaxError as exc:
         return [
             Violation(

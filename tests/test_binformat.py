@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import struct
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.darshan.binformat import MAGIC, read_log, write_log
+from repro.service.cache import log_digest
 from repro.darshan.counters import counters_for, fcounters_for
 from repro.darshan.log import DarshanLog
 from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord, NameRecord
@@ -148,3 +152,124 @@ class TestCorruption:
         path.write_bytes(MAGIC + struct.pack("<I", 3))
         with pytest.raises(DarshanFormatError):
             read_log(path)
+
+
+def _sections(data: bytes) -> list[tuple[str, bytes]]:
+    """(name, decompressed payload) of every section of a log file."""
+    stream = io.BytesIO(data[len(MAGIC):])
+    (count,) = struct.unpack("<I", stream.read(4))
+    sections = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", stream.read(2))
+        name = stream.read(name_len).decode("utf-8")
+        length, _crc = struct.unpack("<QI", stream.read(12))
+        sections.append((name, zlib.decompress(stream.read(length))))
+    assert not stream.read()
+    return sections
+
+
+def _with_section(path, name: str, payload: bytes) -> None:
+    """Rewrite one section of the log at ``path`` with a valid CRC."""
+    out = io.BytesIO()
+    sections = _sections(path.read_bytes())
+    out.write(MAGIC + struct.pack("<I", len(sections)))
+    for section, data in sections:
+        data = payload if section == name else data
+        compressed = zlib.compress(data)
+        out.write(struct.pack("<H", len(section)) + section.encode("utf-8"))
+        out.write(struct.pack("<QI", len(compressed), zlib.crc32(compressed)))
+        out.write(compressed)
+    path.write_bytes(out.getvalue())
+
+
+def _dxt_section(
+    record_id=10, start=0.5, end=0.75, hostname=b"node0", trailing=b""
+) -> bytes:
+    segment = struct.pack("<BBqQQQdd", 0, 0, 0, record_id, 0, 500, start, end)
+    return (
+        struct.pack("<I", 1)
+        + segment
+        + struct.pack("<H", len(hostname))
+        + hostname
+        + trailing
+    )
+
+
+def _names_section(path=b"/lustre/a", trailing=b"") -> bytes:
+    out = struct.pack("<I", 2)
+    for record_id, name in ((10, path), (20, b"/lustre/b")):
+        out += struct.pack("<Q", record_id)
+        for text in (name, b"/lustre", b"lustre"):
+            out += struct.pack("<H", len(text)) + text
+    return out + trailing
+
+
+def _mpiio_section(record_id=20, trailing=b"") -> bytes:
+    counters = counters_for("MPI-IO")
+    fcounters = fcounters_for("MPI-IO")
+    out = struct.pack("<III", 1, len(counters), len(fcounters))
+    out += struct.pack("<Qq", record_id, 1)
+    out += struct.pack(f"<{len(counters)}q", *([0] * len(counters)))
+    out += struct.pack(f"<{len(fcounters)}d", *([0.0] * len(fcounters)))
+    return out + trailing
+
+
+class TestMalformedSections:
+    """Sections with a valid CRC but bad content fail only with
+    DarshanFormatError."""
+
+    def test_unedited_sections_still_read(self, tmp_path):
+        path = write_log(sample_log(), tmp_path / "log.darshan")
+        _with_section(path, "dxt", _dxt_section())
+        _with_section(path, "names", _names_section())
+        _with_section(path, "mod:MPI-IO", _mpiio_section())
+        assert read_log(path).dxt_segments[0] == sample_log().dxt_segments[0]
+
+    @pytest.mark.parametrize(
+        "section, payload, match",
+        [
+            ("dxt", _dxt_section(start=1.0, end=0.5), "ends before it starts"),
+            ("dxt", _dxt_section(record_id=99), "unknown record id"),
+            ("dxt", _dxt_section(hostname=b"node\xff"), "UTF-8"),
+            ("dxt", _dxt_section(trailing=b"\x00"), "trailing bytes"),
+            ("dxt", _dxt_section()[:-2], "truncated"),
+            ("dxt", b"\x01\x00\x00\x00\x07" + _dxt_section()[5:], "module"),
+            ("names", _names_section(path=b"/lustre/\xc3"), "UTF-8"),
+            ("names", _names_section(trailing=b"\x00"), "trailing bytes"),
+            ("mod:MPI-IO", _mpiio_section(record_id=99), "unknown record id"),
+            ("mod:MPI-IO", _mpiio_section(trailing=b"\x00"), "trailing bytes"),
+        ],
+        ids=[
+            "dxt-end-before-start",
+            "dxt-unknown-record-id",
+            "dxt-non-utf8-hostname",
+            "dxt-trailing-bytes",
+            "dxt-truncated-hostname",
+            "dxt-bad-module-code",
+            "names-non-utf8-path",
+            "names-trailing-bytes",
+            "module-unknown-record-id",
+            "module-trailing-bytes",
+        ],
+    )
+    def test_rejected_with_format_error(self, tmp_path, section, payload, match):
+        path = write_log(sample_log(), tmp_path / "log.darshan")
+        _with_section(path, section, payload)
+        with pytest.raises(DarshanFormatError, match=match):
+            read_log(path)
+
+
+class TestPinnedEncoding:
+    """The encoders' output for :func:`sample_log`, pinned so a change
+    to the in-memory form cannot move log bytes or cache keys."""
+
+    def test_write_log_bytes(self, tmp_path):
+        data = write_log(sample_log(), tmp_path / "log.darshan").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "40e4bc9e27191acebb222e7214796593be40af7a073e2cf433c3d3aafe6e29d2"
+        )
+
+    def test_log_digest(self):
+        assert log_digest(sample_log()) == (
+            "23094a4e842fa1660e9bfc71123344398022820ba7ca6ab0a179bb6f8457479a"
+        )

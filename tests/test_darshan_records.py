@@ -13,7 +13,7 @@ from repro.darshan.counters import (
     fcounters_for,
     known_modules,
 )
-from repro.darshan.records import DxtSegment, JobRecord, ModuleRecord
+from repro.darshan.records import DxtSegment, DxtTable, JobRecord, ModuleRecord
 from repro.util.ids import file_record_id
 
 
@@ -133,3 +133,76 @@ class TestDxtSegment:
     def test_time_travel_rejected(self):
         with pytest.raises(ValueError):
             self._segment(start_time=2.0, end_time=1.0)
+
+
+_SEGMENT = dict(
+    module="X_POSIX",
+    record_id=1,
+    rank=0,
+    operation="write",
+    offset=0,
+    length=100,
+    start_time=0.0,
+    end_time=1.0,
+)
+
+
+class TestDxtTable:
+    def test_rows_round_trip(self):
+        rows = [
+            DxtSegment(**_SEGMENT),
+            DxtSegment("X_MPIIO", 7, 3, "read", 5, 9, 1.5, 2.0, hostname="n1"),
+            DxtSegment(**{**_SEGMENT, "rank": -1}),
+        ]
+        table = DxtTable()
+        for row in rows:
+            table.append(row)
+        assert len(table) == 3
+        assert list(table) == rows
+        assert table[1] == rows[1] and table[-1] == rows[-1]
+        assert table.hostnames == ["node0", "n1"]
+        assert list(table.host_indexes) == [0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"operation": "stat"},
+            {"module": "X_NFS"},
+            {"offset": -1},
+            {"length": -1},
+            {"start_time": 2.0, "end_time": 1.0},
+            {"record_id": 2**64},
+            {"length": 2**64},
+        ],
+    )
+    def test_add_rejects_invalid_segments(self, overrides):
+        table = DxtTable()
+        with pytest.raises(ValueError):
+            table.add(**{**_SEGMENT, **overrides})
+        assert len(table) == 0
+        assert all(len(column) == 0 for column in table._columns())
+
+    def test_from_columns_matches_appends(self):
+        table = DxtTable()
+        table.append(DxtSegment(**_SEGMENT))
+        rebuilt = DxtTable.from_columns(*table._columns(), table.hostnames)
+        assert list(rebuilt) == list(table)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            (0, 2),  # module code
+            (1, 2),  # operation code
+            (7, -1.0),  # end before start
+            (8, 1),  # host index past the hostname table
+        ],
+    )
+    def test_from_columns_validates(self, column, value):
+        columns = [[0], [0], [0], [1], [0], [100], [0.0], [1.0], [0]]
+        columns[column] = [value]
+        with pytest.raises(ValueError):
+            DxtTable.from_columns(*columns, ["node0"])
+
+    def test_from_columns_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="length"):
+            DxtTable.from_columns([0], [0], [0], [1], [0], [100], [0.0], [1.0], [], ["n"])

@@ -154,6 +154,71 @@ class TestSharedFileCode:
         assert not metrics["dxt_available"]
 
 
+#: Full stdout of the two DXT-reading snippets, pinned to the output of
+#: the ``csv.DictReader`` versions they replaced.
+_DXT_SNIPPET_STDOUT = {
+    ("easy_extraction", "random_access"): (
+        '{"source": "dxt", "classified_ops": 8188'
+        ', "consecutive_fraction": 0.999511, "strided_fraction": 0.0'
+        ', "random_fraction": 0.000489, "random_ops": 4'
+        ', "repeat_ops": 0, "repeat_fraction": 0.0, "random_reads": 4'
+        ', "random_writes": 0, "total_reads": 4096'
+        ', "total_writes": 4096, "random_read_fraction": 0.000977'
+        ', "random_write_fraction": 0.0, "random_bytes": 8192'
+        ', "total_bytes": 16777216, "random_bytes_fraction": 0.000488'
+        ', "ranks_with_random": 4, "max_random_per_rank": 1'
+        ', "mean_random_per_rank": 1.0}\n'
+    ),
+    ("easy_extraction", "shared_file"): (
+        '{"shared_files": 1'
+        ', "shared_file_names": ["/lustre/ior-easy/ior_file_easy"]'
+        ', "max_ranks_per_file": 4, "dxt_available": true'
+        ', "shared_ops": 8192, "contended_stripes": 0'
+        ', "contended_ops": 0, "contended_fraction": 0.0'
+        ', "max_ranks_per_stripe": 0, "boundary_only": false}\n'
+    ),
+    ("random_extraction", "random_access"): (
+        '{"source": "dxt", "classified_ops": 2868'
+        ', "consecutive_fraction": 0.0, "strided_fraction": 0.507322'
+        ', "random_fraction": 0.492678, "random_ops": 1413'
+        ', "repeat_ops": 0, "repeat_fraction": 0.0'
+        ', "random_reads": 707, "random_writes": 706'
+        ', "total_reads": 1436, "total_writes": 1436'
+        ', "random_read_fraction": 0.49234'
+        ', "random_write_fraction": 0.491643, "random_bytes": 5787648'
+        ', "total_bytes": 11763712, "random_bytes_fraction": 0.491992'
+        ', "ranks_with_random": 4, "max_random_per_rank": 358'
+        ', "mean_random_per_rank": 353.25}\n'
+    ),
+    ("random_extraction", "shared_file"): (
+        '{"shared_files": 1'
+        ', "shared_file_names": ["/lustre/ior-rnd/IOR_file_random"]'
+        ', "max_ranks_per_file": 4, "dxt_available": true'
+        ', "shared_ops": 2872, "contended_stripes": 6'
+        ', "contended_ops": 2872, "contended_fraction": 1.0'
+        ', "max_ranks_per_stripe": 4, "boundary_only": false}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture, snippet", sorted(_DXT_SNIPPET_STDOUT))
+def test_dxt_snippet_stdout_pinned(request, fixture, snippet):
+    extraction = request.getfixturevalue(fixture)
+    if snippet == "random_access":
+        code = codegen.random_access_code(
+            extraction.path_for("POSIX"), extraction.path_for("DXT")
+        )
+    else:
+        code = codegen.shared_file_code(
+            extraction.path_for("POSIX"),
+            extraction.path_for("LUSTRE"),
+            extraction.path_for("DXT"),
+            MIB,
+        )
+    stdout = CodeInterpreter(extraction.directory).run_or_raise(code)
+    assert stdout == _DXT_SNIPPET_STDOUT[(fixture, snippet)]
+
+
 class TestLoadAndRankZeroCode:
     def test_balanced_trace(self, easy_extraction):
         metrics = run_code(

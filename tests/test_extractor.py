@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.darshan.log import DarshanLog
-from repro.darshan.records import JobRecord
-from repro.ion.extractor import Extractor
-from repro.util.csvio import read_rows
+from repro.darshan.records import DxtSegment, JobRecord, NameRecord
+from repro.ion.extractor import DXT_COLUMNS, Extractor
+from repro.util.csvio import read_rows, write_rows
 from repro.util.errors import ExtractionError
 from repro.util.units import MIB
 
@@ -93,3 +97,79 @@ class TestExtraction:
         assert result.has_module("MPI-IO")
         rows = read_rows(result.path_for("MPI-IO"))
         assert any(int(r["MPIIO_COLL_WRITES"]) > 0 for r in rows)
+
+
+def _reference_dxt_csv(log: DarshanLog, path) -> None:
+    """``DXT.csv`` as the row-dict ``csv.DictWriter`` path writes it."""
+    segment_index: Counter = Counter()
+
+    def rows():
+        for seg in log.dxt_segments:
+            key = (seg.module, seg.record_id, seg.rank)
+            index = segment_index[key]
+            segment_index[key] += 1
+            yield {
+                "module": seg.module,
+                "rank": seg.rank,
+                "operation": seg.operation,
+                "segment": index,
+                "offset": seg.offset,
+                "length": seg.length,
+                "start": f"{seg.start_time:.9f}",
+                "end": f"{seg.end_time:.9f}",
+                "file_id": seg.record_id,
+                "file": log.path_for(seg.record_id),
+            }
+
+    write_rows(path, DXT_COLUMNS, rows())
+
+
+#: File paths with the characters the CSV quoting rules care about.
+_PATHS = st.text(
+    st.sampled_from('/a ,"\'\t\r\n;é字')
+    | st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    max_size=16,
+)
+_SEGMENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["X_POSIX", "X_MPIIO"]),
+        st.integers(0, 2),  # which of the three files
+        st.integers(-1, 3),
+        st.sampled_from(["read", "write"]),
+        st.integers(0, 2**63),
+        st.integers(0, 2**40),
+        st.floats(0, 1e7, allow_nan=False),
+        st.floats(0, 1e3, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestColumnarDxtCsv:
+    @settings(
+        max_examples=60,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,  # tmp_path is reused safely
+        ],
+    )
+    @given(paths=st.lists(_PATHS, min_size=3, max_size=3), segments=_SEGMENTS)
+    def test_matches_dictwriter_output(self, tmp_path, paths, segments):
+        log = DarshanLog(
+            job=JobRecord(job_id=1, uid=1, nprocs=4, start_time=0, end_time=1)
+        )
+        for record_id, path in enumerate(paths):
+            log.add_name(NameRecord(record_id, path))
+        for module, record_id, rank, op, offset, length, start, duration in segments:
+            log.add_dxt(
+                DxtSegment(
+                    module, record_id, rank, op, offset, length, start, start + duration
+                )
+            )
+        result = Extractor().extract(log, tmp_path / "columnar")
+        _reference_dxt_csv(log, tmp_path / "reference.csv")
+        assert result.row_counts["DXT"] == len(segments)
+        assert result.path_for("DXT").read_bytes() == (
+            tmp_path / "reference.csv"
+        ).read_bytes()

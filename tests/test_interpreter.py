@@ -72,6 +72,22 @@ class TestExecution:
         assert "truncated" in result.stdout
 
 
+    @pytest.mark.parametrize("tail", ["", "x = 1 / 0\n"], ids=["ok", "error"])
+    def test_namespace_released_after_run(self, tmp_path, tail):
+        """A snippet's function closes a reference cycle through its
+        globals; the run breaks it, so the snippet's data is freed
+        without waiting for a full garbage collection."""
+        namespaces = []
+
+        class Capturing(CodeInterpreter):
+            def _namespace(self, stdout):
+                namespaces.append(super()._namespace(stdout))
+                return namespaces[-1]
+
+        Capturing(tmp_path).run("rows = [1, 2]\ndef f():\n    return rows\n" + tail)
+        assert namespaces == [{}]
+
+
 class TestSandboxing:
     """The runtime containment layer, with static vetting disabled."""
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from repro.sca.guard import (
     RULE_PATH,
     RULE_RANGE,
 )
+from repro.sca import parse as sca_parse
+from repro.sca.lint import lint_source
 from repro.sca.violations import GuardSeverity
 
 GUARD = CodeGuard()
@@ -230,6 +234,36 @@ class TestStripImports:
 
     def test_unparseable_code_returned_unchanged(self):
         assert strip_imports("def broken(:", {"os"}) == "def broken(:"
+
+
+class TestParseLock:
+    """Every parse in the process waits on the one parse lock, so
+    concurrent prompt threads cannot hit CPython 3.11's AST-conversion
+    race."""
+
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            lambda: GUARD.vet("x = 1\n"),
+            lambda: strip_imports("import os\nx = 1\n", {"os"}),
+            lambda: lint_source("x = 1\n", "repro/ion/example.py"),
+        ],
+        ids=["guard", "strip_imports", "ion-lint"],
+    )
+    def test_parse_waits_for_the_lock(self, parse):
+        done = threading.Event()
+
+        def run():
+            parse()
+            done.set()
+
+        with sca_parse._PARSE_LOCK:
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            assert not done.wait(0.2), "parsed without taking the parse lock"
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert done.is_set()
 
 
 class TestExpertGuardRepair:

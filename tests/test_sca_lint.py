@@ -19,6 +19,7 @@ from repro.sca.lint import (
     LINT_METRIC_NAME,
     LINT_MUTABLE_DEFAULT,
     LINT_RAW_OPEN,
+    LINT_RAW_PARSE,
     LINT_SILENT_EXCEPT,
     LINT_SPAN_NAME,
     lint_paths,
@@ -124,6 +125,20 @@ class TestSilentExceptRule:
     def test_narrow_exception_ignored(self):
         source = "try:\n    work()\nexcept ValueError:\n    pass\n"
         assert rules_in(source) == []
+
+
+class TestRawParseRule:
+    def test_ast_parse_flagged_anywhere(self):
+        source = "import ast\ntree = ast.parse(code)\n"
+        assert rules_in(source) == [LINT_RAW_PARSE]
+        assert rules_in(source, "repro/darshan/example.py") == [LINT_RAW_PARSE]
+
+    def test_parse_helper_exempt(self):
+        source = "import ast\ntree = ast.parse(code)\n"
+        assert rules_in(source, "src/repro/sca/parse.py") == []
+
+    def test_other_parse_methods_ignored(self):
+        assert rules_in("value = json.parse(text)\nparser.parse(x)\n") == []
 
 
 class TestLintPaths:
